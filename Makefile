@@ -5,7 +5,10 @@
 
 RACE_PKGS := ./internal/core ./internal/segstore ./internal/provider ./internal/cluster ./internal/wire ./internal/simtime ./internal/simnet ./internal/proxy
 
-.PHONY: check build test vet race bench scrub-chaos bench-scrub
+# Data-path packages, which must not depend on encoding/gob (see nogob).
+NOGOB_PKGS := ./internal/core ./internal/layout ./internal/wire ./internal/provider ./internal/segstore ./internal/proxy ./internal/transport ./internal/simnet
+
+.PHONY: check build test vet race nogob bench bench-harness scale bench-proxy scrub-chaos bench-scrub
 
 check: build vet test race
 
@@ -20,6 +23,16 @@ vet:
 
 race:
 	go test -race $(RACE_PKGS)
+
+# Gob stays only in two cold on-disk formats (namespace WAL/checkpoint and
+# trace files); fail if any data-path package depends on it again.
+nogob:
+	@for p in $(NOGOB_PKGS); do \
+		deps=$$(go list -deps $$p) || exit 1; \
+		if echo "$$deps" | grep -qx encoding/gob; then \
+			echo "$$p depends on encoding/gob"; exit 1; \
+		fi; \
+	done
 
 # Parallel data-path microbenchmarks (modeled MB/s per stripe width).
 bench:

@@ -12,7 +12,6 @@ package nfssim
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -51,7 +50,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// RPC message types (registered for the TCP transport as well).
+// RPC message types. They have no binary codec, so they run only over the
+// simulated fabric; the TCP transport rejects them.
 type (
 	reqCreate struct{ Path string }
 	reqMkdir  struct{ Path string }
@@ -84,15 +84,6 @@ func (m reqWrite) WireSize() int { return 96 + len(m.Data) }
 
 // WireSize implements wire.Sizer.
 func (m respRead) WireSize() int { return 96 + len(m.Data) }
-
-func init() {
-	for _, m := range []any{
-		reqCreate{}, reqMkdir{}, reqRemove{}, reqLookup{}, reqRead{}, reqWrite{},
-		respGeneric{}, respRead{},
-	} {
-		gob.Register(m)
-	}
-}
 
 // Server is the NFS server daemon.
 type Server struct {

@@ -14,7 +14,6 @@ package pvfssim
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -79,7 +78,8 @@ type Metadata struct {
 	IODs       int
 }
 
-// RPC messages.
+// RPC messages. They have no binary codec, so they run only over the
+// simulated fabric; the TCP transport rejects them.
 type (
 	mdsCreate struct{ Path string }
 	mdsLookup struct{ Path string }
@@ -117,15 +117,6 @@ func (m iodWrite) WireSize() int { return 96 + len(m.Data) }
 
 // WireSize implements wire.Sizer.
 func (m iodResp) WireSize() int { return 96 + len(m.Data) }
-
-func init() {
-	for _, m := range []any{
-		mdsCreate{}, mdsLookup{}, mdsRemove{}, mdsMkdir{}, mdsSize{}, mdsResp{},
-		iodRead{}, iodWrite{}, iodRemove{}, iodResp{},
-	} {
-		gob.Register(m)
-	}
-}
 
 // Deployment is a running PVFS instance (MDS + IODs).
 type Deployment struct {

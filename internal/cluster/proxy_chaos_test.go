@@ -570,3 +570,76 @@ func TestProxyBasicOps(t *testing.T) {
 		t.Fatal("stat after remove unexpectedly succeeded")
 	}
 }
+
+// TestThinClientConcurrentPutFiles runs concurrent PutFiles on one thin
+// client bound to two proxies. Each PutFile's writes and commit must reach
+// the proxy that holds its session, so every put commits and reads back.
+func TestThinClientConcurrentPutFiles(t *testing.T) {
+	const (
+		providers = 4
+		puts      = 16
+	)
+	c, err := New(Options{
+		Providers: providers,
+		Scale:     0.0005,
+		Sizing:    layout.Sizing{Unit: 4096, Max: 512, Base: 8, Period: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	if err := c.AwaitStable(providers, 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var proxyIDs []wire.NodeID
+	for i := 0; i < 2; i++ {
+		px, err := c.NewProxy(fmt.Sprintf("gw%d", i), tunedProxy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := px.Client().WaitForProviders(providers, 2*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		proxyIDs = append(proxyIDs, px.ID())
+	}
+	tc, err := proxy.Dial(c.Clock, c.Fabric, "tc0", proxyIDs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuneThin(tc)
+	t.Cleanup(tc.Close)
+	if err := tc.Mkdir("/p"); err != nil {
+		t.Fatal(err)
+	}
+
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 4096+i) }
+	errs := make([]error, puts)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < puts; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[i] = tc.PutFile(fmt.Sprintf("/p/f%02d", i), payload(i), 2)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("put /p/f%02d: %v", i, err)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i := 0; i < puts; i++ {
+		path := fmt.Sprintf("/p/f%02d", i)
+		got, err := tc.GetFile(path)
+		if err != nil || !bytes.Equal(got, payload(i)) {
+			t.Fatalf("read back %s: %d bytes, %v", path, len(got), err)
+		}
+	}
+}

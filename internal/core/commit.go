@@ -225,15 +225,12 @@ func (f *File) commitBody(ctx context.Context, begin wire.NSCommitBeginResp) err
 			}
 		}
 	}
-	encoded, err := f.idx.Encode()
+	encoded := f.idx.Encode()
 	size := f.idx.Size
 	if f.idx.IsAttached() {
 		size = int64(len(f.idx.Attached))
 	}
 	f.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	indexNode, err := f.writeIndexShadow(ctx, encoded)
 	if err != nil {
 		return err

@@ -508,7 +508,6 @@ func (f *File) writeShadow(p []byte, off int64) (int, error) {
 		// Spill: detach the payload, then flush it into real segments
 		// before applying the new write.
 		old := f.idx.Attached
-		f.idx.HasAttached = false
 		f.idx.Attached = nil
 		f.mu.Unlock()
 		if len(old) > 0 {

@@ -8,7 +8,7 @@ package layout
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -88,11 +88,9 @@ type Index struct {
 	StripeCount int   // Striped/Hybrid
 	StripeUnit  int64 // Striped/Hybrid
 	Sizing      Sizing
-	// HasAttached marks the payload as attached inside the index (gob drops
-	// empty slices, so presence needs an explicit flag).
-	HasAttached bool
-	// Attached holds the whole file payload for small files (≤ MaxAttach);
-	// meaningful only when HasAttached is set, in which case Segs is empty.
+	// Attached holds the whole file payload for small files (≤ MaxAttach).
+	// Non-nil (possibly empty) means the payload lives inside the index, in
+	// which case Segs is empty; nil means the data lives in Segs.
 	Attached []byte
 }
 
@@ -110,6 +108,7 @@ var (
 	ErrNeedSize    = errors.New("layout: striped mode requires a declared size")
 	ErrBadStripe   = errors.New("layout: stripe parameters must be positive")
 	ErrNotAttached = errors.New("layout: file has no attached payload")
+	ErrBadIndex    = errors.New("layout: truncated or corrupt index segment")
 )
 
 // NewIndex builds an empty index for the given attributes. Striped mode
@@ -125,7 +124,6 @@ func NewIndex(attrs wire.FileAttrs, sizing Sizing, newID func() ids.SegID) (*Ind
 	switch attrs.Mode {
 	case wire.Linear:
 		// Small files start attached.
-		idx.HasAttached = true
 		idx.Attached = []byte{}
 	case wire.Striped:
 		if attrs.DeclaredSize <= 0 {
@@ -150,7 +148,7 @@ func NewIndex(attrs wire.FileAttrs, sizing Sizing, newID func() ids.SegID) (*Ind
 }
 
 // IsAttached reports whether the file payload lives inside the index.
-func (x *Index) IsAttached() bool { return x.HasAttached }
+func (x *Index) IsAttached() bool { return x.Attached != nil }
 
 // segCapacity returns the capacity of segment i under the index's mode.
 func (x *Index) segCapacity(i int) int64 {
@@ -200,7 +198,7 @@ func (x *Index) mapRange(off, n int64) []Piece {
 			}
 		}
 	case wire.Striped:
-		out = stripePieces(off, n, 0, x.StripeCount, x.StripeUnit, 0)
+		out = stripePieces(off, n, 0, x.StripeCount, x.StripeUnit)
 	case wire.Hybrid:
 		var cum int64
 		for g := 0; ; g++ {
@@ -210,7 +208,7 @@ func (x *Index) mapRange(off, n int64) []Piece {
 			if off+n > lo && off < hi {
 				a := max64(off, lo)
 				b := min64(off+n, hi)
-				out = append(out, stripePieces(a-lo, b-a, g*x.StripeCount, x.StripeCount, x.StripeUnit, 0)...)
+				out = append(out, stripePieces(a-lo, b-a, g*x.StripeCount, x.StripeCount, x.StripeUnit)...)
 			}
 			cum = hi
 			if cum >= off+n {
@@ -223,7 +221,7 @@ func (x *Index) mapRange(off, n int64) []Piece {
 
 // stripePieces maps a byte range within one stripe group onto its segments.
 // segBase is the index of the group's first segment in Index.Segs.
-func stripePieces(off, n int64, segBase, count int, unit int64, _ int64) []Piece {
+func stripePieces(off, n int64, segBase, count int, unit int64) []Piece {
 	var out []Piece
 	rowBytes := unit * int64(count)
 	for n > 0 {
@@ -274,7 +272,6 @@ func (x *Index) Plan(off, n int64, newID func() ids.SegID) ([]Piece, error) {
 			// Stays attached; caller writes into Attached directly.
 			return nil, nil
 		}
-		x.HasAttached = false
 		x.Attached = nil
 	}
 	switch x.Mode {
@@ -330,22 +327,85 @@ func (x *Index) hybridCapacity() int64 {
 	return cum
 }
 
+// Index segment format: little-endian fixed-width fields, SegIDs as their
+// raw 16 bytes, and a presence byte that keeps a nil Attached (data in
+// Segs) distinct from an empty one (an attached empty file):
+//
+//	u8 Mode | i64 Size | i64 StripeCount | i64 StripeUnit
+//	i64 Sizing.Unit | i64 Sizing.Max | i64 Sizing.Base | i64 Sizing.Period
+//	u32 n | n × (16-byte ID | u64 Version | i64 Size)
+//	u8 attached (0 or 1) | if 1: u32 len | len payload bytes
+const (
+	headerSize = 1 + 7*8 + 4 // fixed fields through the SegRef count
+	segRefSize = 16 + 8 + 8
+)
+
+var le = binary.LittleEndian
+
 // Encode serializes the index for storage in the index segment.
-func (x *Index) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(x); err != nil {
-		return nil, fmt.Errorf("layout: encode index: %w", err)
+func (x *Index) Encode() []byte {
+	n := headerSize + len(x.Segs)*segRefSize + 1
+	if x.Attached != nil {
+		n += 4 + len(x.Attached)
 	}
-	return buf.Bytes(), nil
+	b := append(make([]byte, 0, n), byte(x.Mode))
+	for _, v := range [...]int64{x.Size, int64(x.StripeCount), x.StripeUnit,
+		x.Sizing.Unit, x.Sizing.Max, x.Sizing.Base, int64(x.Sizing.Period)} {
+		b = le.AppendUint64(b, uint64(v))
+	}
+	b = le.AppendUint32(b, uint32(len(x.Segs)))
+	for _, s := range x.Segs {
+		b = append(b, s.ID[:]...)
+		b = le.AppendUint64(b, s.Version)
+		b = le.AppendUint64(b, uint64(s.Size))
+	}
+	if x.Attached == nil {
+		return append(b, 0)
+	}
+	b = le.AppendUint32(append(b, 1), uint32(len(x.Attached)))
+	return append(b, x.Attached...)
 }
 
-// Decode parses an index segment payload.
+// Decode parses an index segment payload. It checks the whole encoding
+// (lengths, counts, presence byte, no trailing bytes) before allocating,
+// and copies out of data, so the result never aliases the caller's buffer.
 func Decode(data []byte) (*Index, error) {
-	var x Index
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&x); err != nil {
-		return nil, fmt.Errorf("layout: decode index: %w", err)
+	if len(data) < headerSize+1 {
+		return nil, ErrBadIndex
 	}
-	return &x, nil
+	rest := data[headerSize:]
+	n := uint64(le.Uint32(data[headerSize-4:]))
+	if n > uint64(len(rest)-1)/segRefSize {
+		return nil, ErrBadIndex
+	}
+	refs, tail := rest[:n*segRefSize], rest[n*segRefSize:]
+	var attached []byte
+	switch {
+	case len(tail) == 1 && tail[0] == 0:
+	case len(tail) >= 5 && tail[0] == 1 && uint64(le.Uint32(tail[1:])) == uint64(len(tail)-5):
+		attached = tail[5:]
+	default:
+		return nil, ErrBadIndex
+	}
+	field := func(i int) int64 { return int64(le.Uint64(data[1+8*i:])) }
+	x := &Index{
+		Mode:        wire.LayoutMode(data[0]),
+		Size:        field(0),
+		StripeCount: int(field(1)),
+		StripeUnit:  field(2),
+		Sizing:      Sizing{Unit: field(3), Max: field(4), Base: field(5), Period: int(field(6))},
+		Attached:    bytes.Clone(attached),
+	}
+	if n > 0 {
+		x.Segs = make([]SegRef, n)
+		for i := range x.Segs {
+			r := refs[i*segRefSize:]
+			copy(x.Segs[i].ID[:], r)
+			x.Segs[i].Version = le.Uint64(r[16:])
+			x.Segs[i].Size = int64(le.Uint64(r[24:]))
+		}
+	}
+	return x, nil
 }
 
 func min64(a, b int64) int64 {

@@ -102,7 +102,7 @@ func TestNewIndexHybridRequiresStripeParams(t *testing.T) {
 func TestLinearPlanAndMapRoundTrip(t *testing.T) {
 	attrs := wire.DefaultAttrs()
 	idx, _ := NewIndex(attrs, tinySizing(), ids.New)
-	idx.HasAttached, idx.Attached = false, nil // force segment mode
+	idx.Attached = nil // force segment mode
 	// Write 100 bytes: capacities 16×8=128, so needs 7 segments.
 	pieces, err := idx.Plan(0, 100, ids.New)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestLinearPlanAndMapRoundTrip(t *testing.T) {
 
 func TestMapBeyondEOF(t *testing.T) {
 	idx, _ := NewIndex(wire.DefaultAttrs(), tinySizing(), ids.New)
-	idx.HasAttached, idx.Attached = false, nil
+	idx.Attached = nil
 	idx.Plan(0, 10, ids.New)
 	if _, err := idx.Map(5, 10); !errors.Is(err, ErrBeyondEOF) {
 		t.Fatalf("err = %v", err)
@@ -235,11 +235,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	attrs := wire.FileAttrs{Mode: wire.Hybrid, StripeCount: 2, StripeUnit: 32, ReplDeg: 2}
 	idx, _ := NewIndex(attrs, tinySizing(), ids.New)
 	idx.Plan(0, 100, ids.New)
-	data, err := idx.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(data)
+	got, err := Decode(idx.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +270,7 @@ func TestMappingCoversRangeExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx.HasAttached, idx.Attached = false, nil
+		idx.Attached = nil
 		if _, err := idx.Plan(0, 2000, ids.New); err != nil {
 			t.Fatalf("%v: %v", attrs.Mode, err)
 		}
@@ -308,7 +304,7 @@ func TestMappingCoversRangeExactly(t *testing.T) {
 // naive flat file and verifies Map-based reads reconstruct the same bytes.
 func TestLinearWriteReadSimulation(t *testing.T) {
 	idx, _ := NewIndex(wire.DefaultAttrs(), tinySizing(), ids.New)
-	idx.HasAttached, idx.Attached = false, nil
+	idx.Attached = nil
 	segData := make(map[int][]byte)
 	writePiece := func(p Piece, data []byte) {
 		buf := segData[p.SegIdx]

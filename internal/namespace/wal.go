@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/ids"
 	"repro/internal/wire"
 )
 
@@ -194,10 +193,4 @@ func (w *FileWAL) Close() error {
 type snapshotState struct {
 	Dirs  []string
 	Files []wire.FileEntry
-}
-
-func init() {
-	gob.Register(Op{})
-	gob.Register(snapshotState{})
-	gob.Register(ids.SegID{})
 }

@@ -151,6 +151,7 @@ type Provider struct {
 	memberKick  chan struct{}            // cap 1; wakes membershipWorker
 
 	stopOnce sync.Once
+	stopMu   sync.Mutex // orders spawn's wg.Add before Stop's wg.Wait
 	stop     chan struct{}
 	wg       sync.WaitGroup
 }
@@ -333,11 +334,7 @@ func (p *Provider) Endpoint() transport.Endpoint { return p.ep }
 
 // Start launches the daemon's background loops.
 func (p *Provider) Start() {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.membershipWorker()
-	}()
+	p.spawn(p.membershipWorker)
 	p.members.Start()
 	p.ann.Start()
 	p.loop(p.cfg.RefreshInterval, p.refreshAll)
@@ -357,10 +354,32 @@ func (p *Provider) Start() {
 
 // Stop halts the daemon. The endpoint stays open unless Kill is used.
 func (p *Provider) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
+	p.stopOnce.Do(func() {
+		p.stopMu.Lock()
+		close(p.stop)
+		p.stopMu.Unlock()
+	})
 	p.ann.Stop()
 	p.members.Stop()
 	p.wg.Wait()
+}
+
+// spawn runs fn on a goroutine that Stop waits for. Handlers call it from
+// transport goroutines that Stop does not wait for, so once Stop has begun
+// spawn drops fn: a wg.Add racing Stop's wg.Wait is a WaitGroup misuse.
+func (p *Provider) spawn(fn func()) {
+	p.stopMu.Lock()
+	defer p.stopMu.Unlock()
+	select {
+	case <-p.stop:
+		return
+	default:
+	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		fn()
+	}()
 }
 
 // Kill simulates a crash: all loops stop and the endpoint goes silent.
@@ -371,9 +390,7 @@ func (p *Provider) Kill() {
 
 // loop runs fn every interval until Stop.
 func (p *Provider) loop(interval time.Duration, fn func()) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
+	p.spawn(func() {
 		t := p.clock.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -384,7 +401,7 @@ func (p *Provider) loop(interval time.Duration, fn func()) {
 				fn()
 			}
 		}
-	}()
+	})
 }
 
 // sampleLoad folds a fresh utilization sample into the gossiped EWMAs.
@@ -606,11 +623,7 @@ func (p *Provider) rehome() {
 			continue
 		}
 		home, list := home, list
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.call(home, wire.LocRefresh{From: p.id, Entries: list})
-		}()
+		p.spawn(func() { p.call(home, wire.LocRefresh{From: p.id, Entries: list}) })
 	}
 }
 
@@ -631,11 +644,7 @@ func (p *Provider) refreshAll() {
 			continue
 		}
 		home, list := home, list
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.call(home, wire.LocRefresh{From: p.id, Entries: list})
-		}()
+		p.spawn(func() { p.call(home, wire.LocRefresh{From: p.id, Entries: list}) })
 	}
 }
 
@@ -652,11 +661,7 @@ func (p *Provider) propagateSeg(seg ids.SegID) {
 	}
 	for _, stale := range act.Stale {
 		stale := stale
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.call(stale, wire.SyncNotify{Seg: act.Seg, Version: act.Latest, Source: act.Source})
-		}()
+		p.spawn(func() { p.call(stale, wire.SyncNotify{Seg: act.Seg, Version: act.Latest, Source: act.Source}) })
 	}
 }
 
@@ -695,11 +700,7 @@ func (p *Provider) repairScan() {
 			budget--
 			stale := stale
 			act := act
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				p.call(stale, wire.SyncNotify{Seg: act.Seg, Version: act.Latest, Source: act.Source})
-			}()
+			p.spawn(func() { p.call(stale, wire.SyncNotify{Seg: act.Seg, Version: act.Latest, Source: act.Source}) })
 		}
 		// Replication deficit: choose fresh sites, spreading replicas
 		// across racks when the labels allow it.
@@ -733,9 +734,7 @@ func (p *Provider) repairScan() {
 				}
 				budget--
 				dest, act := dest, act
-				p.wg.Add(1)
-				go func() {
-					defer p.wg.Done()
+				p.spawn(func() {
 					p.call(dest, wire.ReplicateNotify{
 						Seg:               act.Seg,
 						Version:           act.Latest,
@@ -743,7 +742,7 @@ func (p *Provider) repairScan() {
 						ReplDeg:           act.ReplDeg,
 						LocalityThreshold: act.LocalityThreshold,
 					})
-				}()
+				})
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package provider_test
 
 import (
+	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -385,4 +387,65 @@ func TestRackAwareReplicaPlacement(t *testing.T) {
 	if crossRack < checked {
 		t.Errorf("only %d/%d files span both racks", crossRack, checked)
 	}
+}
+
+// probeHandler ignores everything delivered to the probing endpoint.
+type probeHandler struct{}
+
+func (probeHandler) HandleCall(context.Context, wire.NodeID, any) (any, error) { return nil, nil }
+func (probeHandler) HandleCast(wire.NodeID, any)                               {}
+
+// TestKillDuringLocationProbes multicasts location probes for a segment
+// every provider holds while the providers are killed. Each answer runs on
+// a goroutine Stop waits for; one started after Stop has begun waiting
+// must be dropped, not race WaitGroup.Add against Wait (the race detector
+// and the WaitGroup reuse check both catch that).
+func TestKillDuringLocationProbes(t *testing.T) {
+	const providers = 3
+	c := startCluster(t, fastOpts(providers))
+	cl := mkClient(t, c, "c1")
+	attrs := wire.DefaultAttrs()
+	attrs.ReplDeg = providers
+	f, err := cl.Create("/f", attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 4096), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entry, err := cl.Stat("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := c.Fabric.Join("prober", probeHandler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+
+	// Paced, so the asynchronous deliveries cannot pile up without bound.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Microsecond):
+				ep.Multicast(wire.LocProbe{Seg: entry.FileID, Asker: ep.ID()})
+			}
+		}
+	}()
+	for id := range c.Providers() {
+		if err := c.KillProvider(id); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

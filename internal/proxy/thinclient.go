@@ -22,7 +22,8 @@ type ThinClient struct {
 	clock   *simtime.Clock
 	ep      transport.Endpoint
 	proxies []wire.NodeID
-	rr      atomic.Uint64
+	rr      atomic.Uint64 // sticky proxy cursor; moves only on failover
+	sessSeq atomic.Uint64 // PutFile session numbers
 
 	// Timeout bounds one request attempt; Attempts caps transport-level
 	// retries (each moving to the next proxy); Backoff spaces them.
@@ -235,7 +236,7 @@ func (t *ThinClient) generic(req any) error {
 // PutFile writes data as one commit under a fresh session, chunking large
 // payloads, and returns the committed version.
 func (t *ThinClient) PutFile(path string, data []byte, replDeg int) (uint64, error) {
-	sess := fmt.Sprintf("%s#%d", t.ep.ID(), t.rr.Add(1))
+	sess := fmt.Sprintf("%s#%d", t.ep.ID(), t.sessSeq.Add(1))
 	const chunk = 256 << 10
 	if len(data) == 0 {
 		if err := t.Write(sess, path, 0, nil, true, replDeg); err != nil {

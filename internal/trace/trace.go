@@ -274,7 +274,3 @@ func isIO(k OpKind) bool {
 		return true
 	}
 }
-
-func init() {
-	gob.Register(Trace{})
-}

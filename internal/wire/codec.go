@@ -7,9 +7,9 @@ package wire
 // decode in steady state (DecodeInto reuses the target's slice capacity and
 // interned strings). It is shared by both transports: the TCP transport
 // frames real bytes with it, and the simulated fabric charges NIC time for
-// exactly the bytes it would produce (SizeOf). Gob remains for the cold
-// paths — namespace WAL records and trace files — where schema flexibility
-// beats speed.
+// exactly the bytes it would produce (SizeOf). Gob remains in exactly two
+// places, both cold on-disk formats where schema flexibility beats speed:
+// the namespace WAL/checkpoint and trace-file Save/Load.
 //
 // Wire format: 2-byte little-endian type tag, then the message's fields in
 // declaration order. Fixed-width little-endian integers, IEEE-754 bit
